@@ -1,23 +1,25 @@
-"""E17 — columnar engine: dense-int struct-of-arrays vs the history index.
+"""E17 — columnar engine: default ``certify`` vs the naive reference lane.
 
-The PR 3 history index (E14) removed the repeated full scans, but the
-representation it walks is still one Python object per event: conflict
-enumeration hashes ``TransactionName`` tuples, visibility chases
-attribute chains, and every phase pays dict lookups keyed by structured
-values.  ``repro.core.columnar`` changes the representation — names,
-objects and operation classes intern to dense ints at append time, the
-history is parallel ``array('q')`` columns, visibility/orphan sets are
-bitsets, and read/write objects resolve their whole conflict relation
-in one linear bitset sweep (``conflicts_iff_writer``) instead of a pair
-loop.
+The definitional transcription of the paper (``certify(...,
+columnar=False)``) walks one Python object per event: conflict
+enumeration compares every access pair per object, hashing
+``TransactionName`` tuples, and visibility chases attribute chains.
+The default lane runs on ``repro.core.columnar`` — names, objects and
+operation classes intern to dense ints at append time, the history is
+parallel ``array('q')`` columns, visibility/orphan sets are bitsets, and
+read/write objects resolve their whole conflict relation in one linear
+bitset sweep (``conflicts_iff_writer``) instead of a pair loop.
 
-This benchmark certifies identical growing read-heavy histories with
-``certify(indexed=True)`` (the PR 3 lane) and ``certify_columnar`` fed
-by a *lazy generator* — the 50k+ event corpus is never materialized as
-an object list for the columnar lane — asserts the verdicts agree, and
-writes ``BENCH_e17_columnar.json``.  The acceptance bar, checked here
-in full mode and re-checked against the committed baseline in CI:
-≥10x over the indexed path at ≥50,000 events.
+This benchmark certifies growing read-heavy histories with the default
+lane fed by a *lazy generator* — the 50k+ event corpus is never
+materialized as an object list — and, on the sizes the quadratic
+reference lane finishes in seconds, with ``columnar=False`` over the
+same history, asserting the verdicts agree.  It writes
+``BENCH_e17_columnar.json``.  Checked on every run, smoke size
+included: the bitset sweep carries the whole conflict phase
+(``pairs_bitset > 0``, ``pairs_checked == 0``).  Checked in full mode:
+the default lane reaches ≥50,000 events and is ≥10x faster than the
+reference at the largest size both lanes run.
 """
 
 import sys
@@ -48,10 +50,10 @@ from repro import (
     WriteOp,
     certify,
 )
-from repro.core.columnar import certify_columnar
 
-#: one write per this many accesses — the read-heavy regime both the
-#: writer-boundary skip (indexed) and the bitset sweep (columnar) target
+
+#: one write per this many accesses — the read-heavy regime the bitset
+#: sweep targets
 WRITE_EVERY = 50
 
 
@@ -63,7 +65,7 @@ def read_heavy_system(objects: int = 2) -> SystemType:
 def stream_read_heavy_history(
     system_type: SystemType, top_level: int, accesses: int = 20
 ):
-    """Lazily yield the E14 read-heavy history, one action at a time.
+    """Lazily yield a read-heavy history, one action at a time.
 
     ``top_level`` sequential transactions of ``accesses`` accesses each,
     round-robin over the system's objects, one write per ``WRITE_EVERY``
@@ -100,32 +102,25 @@ def stream_read_heavy_history(
         yield ReportCommit(txn, "done")
 
 
-def timed_indexed(behavior, system_type):
-    registry = MetricsRegistry()
+def timed_reference(behavior, system_type):
     start = time.perf_counter()
     certificate = certify(
-        behavior,
-        system_type,
-        construct_witness=False,
-        metrics=registry,
-        indexed=True,
+        behavior, system_type, construct_witness=False, columnar=False
     )
-    seconds = time.perf_counter() - start
-    return certificate, seconds, registry.snapshot()["counters"]
+    return certificate, time.perf_counter() - start
 
 
 def timed_columnar(system_type, top_level):
-    """Time the columnar lane end to end, generation included.
+    """Time the default lane end to end, generation included.
 
     The event stream is produced lazily *inside* the timed region —
-    the columnar engine's cost includes folding every action into the
-    int columns, so this is the honest streaming figure (and it still
-    has to clear the 10x bar against an indexed lane whose behavior
-    tuple was materialized for free, outside its timer).
+    the engine's cost includes folding every action into the int
+    columns, so this is the honest streaming figure (the reference lane's
+    behavior tuple is materialized for free, outside its timer).
     """
     registry = MetricsRegistry()
     start = time.perf_counter()
-    certificate = certify_columnar(
+    certificate = certify(
         stream_read_heavy_history(system_type, top_level),
         system_type,
         construct_witness=False,
@@ -135,7 +130,10 @@ def timed_columnar(system_type, top_level):
     return certificate, seconds, registry.snapshot()["counters"]
 
 
-CASES = pick([120, 240, 480], [2, 3])
+#: history sizes in top-level transactions (105 events each)
+CASES = pick([30, 60, 120, 240, 480], [2, 3])
+#: the largest size the quadratic reference lane runs (12.6k events, ~10 s)
+REFERENCE_MAX_TOP = pick(120, 3)
 
 
 def run_comparison():
@@ -143,24 +141,26 @@ def run_comparison():
     report = {}
     for top_level in CASES:
         system_type = read_heavy_system()
-        # materialize once for the indexed lane only — outside its timer
-        behavior = tuple(stream_read_heavy_history(system_type, top_level))
-        indexed, idx_seconds, idx_counters = timed_indexed(
-            behavior, system_type
-        )
         columnar, col_seconds, col_counters = timed_columnar(
             system_type, top_level
         )
-        assert indexed.certified and columnar.certified
-        assert indexed.cycle is None and columnar.cycle is None
-        assert len(indexed.arv_violations) == len(columnar.arv_violations) == 0
-        assert col_counters["history.columnar.events"] == len(behavior)
-        speedup = idx_seconds / max(col_seconds, 1e-9)
+        assert columnar.certified and columnar.cycle is None
+        assert not columnar.arv_violations
+        events = col_counters["history.columnar.events"]
+        ref_seconds = speedup = None
+        if top_level <= REFERENCE_MAX_TOP:
+            # materialized for the reference lane only — outside its timer
+            behavior = tuple(stream_read_heavy_history(system_type, top_level))
+            assert len(behavior) == events
+            reference, ref_seconds = timed_reference(behavior, system_type)
+            assert reference.certified and reference.cycle is None
+            assert not reference.arv_violations
+            speedup = ref_seconds / max(col_seconds, 1e-9)
         label = f"top{top_level}"
         report[label] = {
-            "events": len(behavior),
-            "indexed_seconds": idx_seconds,
+            "events": events,
             "columnar_seconds": col_seconds,
+            "reference_seconds": ref_seconds,
             "speedup": speedup,
             "columnar_counters": {
                 name: value
@@ -171,12 +171,12 @@ def run_comparison():
         rows.append(
             (
                 label,
-                len(behavior),
+                events,
                 int(col_counters["history.columnar.conflict.pairs_bitset"]),
                 int(col_counters["history.columnar.conflict.pairs_checked"]),
                 f"{col_seconds * 1e3:.1f}",
-                f"{idx_seconds * 1e3:.1f}",
-                f"{speedup:.1f}x",
+                "—" if ref_seconds is None else f"{ref_seconds * 1e3:.1f}",
+                "—" if speedup is None else f"{speedup:.1f}x",
             )
         )
     write_bench_json("e17_columnar", report)
@@ -184,29 +184,30 @@ def run_comparison():
 
 
 @pytest.mark.benchmark(group="e17")
-def test_e17_columnar_vs_indexed_certification(benchmark):
+def test_e17_columnar_vs_reference_certification(benchmark):
     report, rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     print_table(
-        "E17: columnar engine vs shared history index, read-heavy histories",
+        "E17: default (columnar) certify vs the naive reference, read-heavy histories",
         [
             "case",
             "events",
             "pairs bitset",
             "pairs checked",
             "columnar (ms)",
-            "indexed (ms)",
+            "reference (ms)",
             "speedup",
         ],
         rows,
     )
     largest = report[f"top{CASES[-1]}"]
-    counters = largest["columnar_counters"]
-    # the RW bitset sweep must carry the whole conflict phase: the
-    # generic per-pair fallback never runs on pure read/write objects
-    assert counters["history.columnar.conflict.pairs_bitset"] > 0
-    assert counters["history.columnar.conflict.pairs_checked"] == 0
-    assert counters["history.columnar.builds"] == 1
+    for case in report.values():
+        counters = case["columnar_counters"]
+        # the RW bitset sweep must carry the whole conflict phase: the
+        # generic per-pair fallback never runs on pure read/write objects
+        assert counters["history.columnar.conflict.pairs_bitset"] > 0
+        assert counters["history.columnar.conflict.pairs_checked"] == 0
+        assert counters["history.columnar.builds"] == 1
     if not SMOKE:
-        speedups = [report[f"top{t}"]["speedup"] for t in CASES]
         assert largest["events"] >= 50_000, largest["events"]
-        assert speedups[-1] >= 10.0, speedups
+        compared = report[f"top{REFERENCE_MAX_TOP}"]
+        assert compared["speedup"] >= 10.0, compared["speedup"]

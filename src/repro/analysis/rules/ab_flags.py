@@ -1,6 +1,6 @@
 """R001 — A/B engine flags must keep both code paths alive.
 
-The ``indexed=`` (naive vs history-index certification) and
+The ``columnar=`` (reference scans vs columnar store certification) and
 ``incremental=`` (naive DFS vs Pearce–Kelly cycle check) keyword flags
 exist so every optimised engine retains its executable baseline.  The
 rule enforces two properties for every function that *declares* such a
@@ -28,7 +28,6 @@ __all__ = ["ABFlagRule", "AB_FLAGS"]
 
 #: The keyword flags that select between A/B engine implementations.
 AB_FLAGS: Tuple[str, ...] = (
-    "indexed",
     "incremental",
     "compaction",
     "columnar",

@@ -56,7 +56,6 @@ from .columnar import (
     ColumnarHistory,
     ColumnarSerializationGraph,
     build_columnar_graph,
-    certify_columnar,
 )
 from .history import ConflictCache, HistoryIndex
 from .names import ROOT, Access, ObjectName, SystemType, TransactionName, lca
@@ -101,6 +100,7 @@ from .serialization_graph import (
     build_serialization_graph,
     conflict_pairs,
     precedes_pairs,
+    reference_serialization_graph,
 )
 from .serde import (
     behavior_from_json,

@@ -1,9 +1,8 @@
 """Columnar history engine: dense ints, struct-of-arrays, bitset visibility.
 
-:class:`repro.core.history.HistoryIndex` (PR 3) centralised every scan a
-certifier needs, but the representation underneath it is still one
-Python object per event, walked through dict and tuple lookups.  This
-module changes the representation without changing any answer:
+The definitional transcription of the paper walks one Python object per
+event through dict and tuple lookups.  This module changes the
+representation without changing any answer:
 
 * **Append-time interning.**  Transaction names, objects and operation
   classes are interned to dense ints as events arrive; parents are
@@ -38,12 +37,11 @@ DFS that replicates the object graph's traversal order exactly, and only
 builds the real per-group :class:`repro.core.graph.Digraph` structures
 when a caller walks nodes/edges or topologically sorts.
 
-The engine is exposed as the third A/B lane: ``certify(...,
-columnar=True)``, ``HistoryIndex(..., columnar=True)``, and the
-``columnar=`` flags on the oracle/view/parallel layers all route here;
-verdicts, ARVs, cycles and witnesses are identical across the naive,
-indexed and columnar lanes (asserted by the three-way equivalence
-suite).  Metrics appear under ``history.columnar.*`` (see
+:func:`repro.core.correctness.certify` runs on this engine by default
+(``columnar=True``) and :func:`repro.core.serialization_graph.build_serialization_graph`
+always does; verdicts, ARVs, cycles and witnesses are identical to the
+naive reference lane, ``certify(..., columnar=False)`` (asserted by the
+equivalence suite).  Metrics appear under ``history.columnar.*`` (see
 ``docs/OBSERVABILITY.md``).
 """
 
@@ -77,15 +75,7 @@ from .actions import (
     RequestCreate,
     is_serial_action,
 )
-from .correctness import (
-    Certificate,
-    WitnessError,
-    _visible_transactions,
-    build_witness,
-    validate_serial_behavior,
-)
-from .events import project_transaction
-from .history import ConflictCache, HistoryIndex, spec_is_read_only
+from .history import ConflictCache, spec_is_read_only
 from .names import ROOT, ObjectName, SystemType, TransactionName
 from .return_values import ReturnValueViolation
 from .graph import Digraph
@@ -101,7 +91,6 @@ __all__ = [
     "ColumnarHistory",
     "ColumnarSerializationGraph",
     "build_columnar_graph",
-    "certify_columnar",
     "columnar_arv_violations",
     "columnar_conflict_edges",
     "columnar_precedes_edges",
@@ -155,19 +144,17 @@ class ColumnarHistory:
     behavior arrives in; non-serial actions are dropped, mirroring
     ``serial(beta)``), then query the derived columns.  ``system_type``
     is required for object columns (conflicts, ARVs); without it only
-    the transaction-level machinery is available.  ``conflict_cache``
-    shares one interner/verdict table with the indexed and online lanes.
+    the transaction-level machinery is available.
     """
 
     def __init__(
         self,
         system_type: Optional[SystemType] = None,
         metrics: Optional[MetricsRegistry] = None,
-        conflict_cache: Optional[ConflictCache] = None,
     ) -> None:
         self.system_type = system_type
         self._metrics = metrics
-        self.cache = conflict_cache if conflict_cache is not None else ConflictCache()
+        self.cache = ConflictCache()
         self.events = 0
         # -- transaction interning (parent id < child id, root is 0) -----
         self._txn_ids: Dict[TransactionName, int] = {}
@@ -570,8 +557,8 @@ class ColumnarHistory:
 def columnar_conflict_edges(store: ColumnarHistory) -> List[SiblingEdge]:
     """``conflict(beta)`` as sorted :class:`SiblingEdge` objects.
 
-    Same result as the indexed enumeration — names materialise only
-    here, at the boundary.
+    Same result as the reference :func:`repro.core.serialization_graph.conflict_pairs`
+    — names materialise only here, at the boundary.
     """
     names = store.txn_names
     edges = [
@@ -669,7 +656,7 @@ class ColumnarSerializationGraph(SerializationGraph):
     runs directly on int adjacency lists built to replicate the object
     :class:`SerializationGraph`'s insertion order exactly (seeded nodes,
     then conflict edges in name order, then precedes edges in name
-    order), so it returns the *same* cycle the other lanes would.  Any
+    order), so it returns the *same* cycle the reference lane would.  Any
     richer access (nodes, edges, topological sort, mutation) first
     materialises the real per-group digraphs from the same dense data,
     after which this behaves exactly like its base class.
@@ -736,7 +723,7 @@ class ColumnarSerializationGraph(SerializationGraph):
     def _ensure(self) -> None:
         """Populate the object digraphs from the dense data, once.
 
-        Insertion order replicates the indexed lane exactly: seed nodes
+        Insertion order replicates the reference lane exactly: seed nodes
         first, then conflict edges (already in name order), then
         precedes edges — so topological sorts and witnesses agree.
         """
@@ -877,7 +864,7 @@ def build_columnar_graph(
     """Construct ``SG(beta)`` from a populated :class:`ColumnarHistory`.
 
     Node seeding, edge enumeration and ordering replicate
-    :func:`repro.core.serialization_graph.build_serialization_graph`
+    :func:`repro.core.serialization_graph.reference_serialization_graph`
     over the same behavior, span names and metrics included.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -885,7 +872,7 @@ def build_columnar_graph(
     parent = store.txn_parent
     names = store.txn_names
     with tracer.span("sg.seed_nodes"):
-        # replicate the indexed lane's set-iteration seeding order
+        # replicate the reference lane's set-iteration seeding order
         seed_set: Set[TransactionName] = set()
         for dense in store.request_order:
             seed_set.add(names[dense])
@@ -915,105 +902,3 @@ def build_columnar_graph(
         metrics.inc("sg.edges.conflict", len(conflict_ids))
         metrics.inc("sg.edges.precedes", len(precedes_ids))
     return graph
-
-
-# ---------------------------------------------------------------------------
-# The columnar certifier
-# ---------------------------------------------------------------------------
-
-
-def certify_columnar(
-    behavior: Iterable[Action],
-    system_type: SystemType,
-    construct_witness: bool = True,
-    validate_input: bool = False,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    conflict_cache: Optional[ConflictCache] = None,
-) -> Certificate:
-    """Theorem 8/19 over the columnar engine; same certificates as
-    :func:`repro.core.correctness.certify`.
-
-    ``behavior`` may be any iterable — a lazy generator streams straight
-    into the columns, and the raw actions are retained only when the
-    witness or input validation needs them.  Phase span names and
-    certify metrics mirror the object lanes so dashboards don't care
-    which engine ran.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    keep = construct_witness or validate_input
-    store = ColumnarHistory(
-        system_type, metrics=metrics, conflict_cache=conflict_cache
-    )
-    serial: List[Action] = []
-    with tracer.span("certify"):
-        with tracer.span("certify.project"):
-            if keep:
-                for action in behavior:
-                    if store.append(action):
-                        serial.append(action)
-            else:
-                for action in behavior:
-                    store.append(action)
-        store.record_build_metrics()
-        if validate_input:
-            # imported lazily: the simple database lives one layer above core
-            from ..serial.simple_db import check_simple_behavior
-
-            with tracer.span("certify.validate_input"):
-                input_problems = check_simple_behavior(tuple(serial), system_type)
-            if input_problems:
-                if metrics is not None:
-                    metrics.inc("certify.runs")
-                    metrics.inc("certify.rejected")
-                    metrics.inc("certify.rejected.malformed_input")
-                return Certificate(
-                    False,
-                    [],
-                    None,
-                    SerializationGraph(),
-                    input_problems=input_problems,
-                )
-        with tracer.span("certify.arv"):
-            arv_violations = columnar_arv_violations(store)
-        with tracer.span("certify.build_graph"):
-            graph = build_columnar_graph(store, tracer=tracer, metrics=metrics)
-        with tracer.span("certify.find_cycle"):
-            cycle = graph.find_cycle()
-        certified = not arv_violations and cycle is None
-        certificate = Certificate(certified, arv_violations, cycle, graph)
-        if metrics is not None:
-            metrics.inc("certify.runs")
-            metrics.inc("certify.certified" if certified else "certify.rejected")
-            metrics.set_gauge("certify.arv_violations", len(arv_violations))
-        if certified and construct_witness:
-            serial_tuple = tuple(serial)
-            with tracer.span("certify.witness"):
-                order = graph.to_sibling_order()
-                certificate.order = order
-                index = HistoryIndex(serial_tuple, system_type)
-                try:
-                    witness = build_witness(
-                        serial_tuple, system_type, order, index
-                    )
-                    certificate.witness_problems = validate_serial_behavior(
-                        witness, system_type
-                    )
-                    if not certificate.witness_problems:
-                        for transaction in _visible_transactions(index):
-                            if project_transaction(
-                                witness, transaction
-                            ) != project_transaction(
-                                serial_tuple, transaction, index
-                            ):
-                                certificate.witness_problems.append(
-                                    f"witness projection differs at {transaction}"
-                                )
-                    certificate.witness = witness
-                except WitnessError as exc:
-                    certificate.witness_problems = [str(exc)]
-            if metrics is not None and certificate.witness is not None:
-                metrics.set_gauge(
-                    "certify.witness_events", len(certificate.witness)
-                )
-    return certificate

@@ -9,9 +9,10 @@ carry that: an edge collapses every conflicting descendant pair to one
 drops intra-subtree evidence under compaction.
 
 This module re-derives the evidence from a :class:`HistoryIndex` over
-the full behavior, the same structures :func:`conflict_pairs` and
-:func:`precedes_pairs` enumerate from — so the witnesses are consistent
-with the batch relations *by construction*:
+the full behavior — the visible access sequences and report/request
+positions that :func:`conflict_pairs` and :func:`precedes_pairs` are
+defined over — so the witnesses are consistent with the batch relations
+*by construction*:
 
 * a **conflict witness** for edge ``(S, T)`` under ``parent`` is an
   ordered pair of visible access ``REQUEST_COMMIT`` events on one
@@ -295,19 +296,16 @@ def explain_behavior(
 ) -> Optional[Tuple[CycleExplanation, SerializationGraph]]:
     """Find one SG cycle in ``behavior`` and explain it, or ``None``.
 
-    The one-call form behind ``repro explain``: builds the shared
-    history index, constructs ``SG(beta)`` from it, extracts some cycle
-    and maps every edge back to operation pairs.  Returns the
+    The one-call form behind ``repro explain``: constructs ``SG(beta)``,
+    extracts some cycle and maps every edge back to operation pairs over
+    one history index.  Returns the
     explanation together with the graph (for DOT rendering).
     """
-    index = HistoryIndex(behavior, system_type)
-    graph = build_serialization_graph(behavior, system_type, index=index)
+    graph = build_serialization_graph(behavior, system_type)
     cycle = graph.find_cycle()
     if cycle is None:
         return None
     return (
-        explain_cycle(
-            behavior, system_type, cycle, index=index, max_witnesses=max_witnesses
-        ),
+        explain_cycle(behavior, system_type, cycle, max_witnesses=max_witnesses),
         graph,
     )

@@ -1,28 +1,40 @@
-"""The columnar engine: three-way lane equivalence and dense-state checks.
+"""The columnar engine: equivalence with the reference lane, dense state.
 
-The dense-int struct-of-arrays engine (``certify(columnar=True)``) must
-be observably identical to both the naive scans (``indexed=False``) and
-the PR 3 history index (``indexed=True``): same verdicts, same ARV
-diagnostics, same cycle witnesses, same graph edges, same serial
-witnesses.  This suite sweeps 300 seeds across the existing generators,
-plus directed cases for the spots where a bitset engine can silently go
-wrong: word-size boundaries (>64 transactions), late-ABORT visibility
-flips, and contended interleavings with cycle witnesses.
+The dense-int struct-of-arrays engine behind the default ``certify``
+must be observably identical to the naive reference lane
+(``certify(columnar=False)``, the definitional scans): same verdicts,
+same ARV diagnostics, same cycle witnesses, same graph edges, same
+serial witnesses and witness problems.  This suite sweeps 300 seeds
+across the existing generators, plus directed cases for the spots where
+a bitset engine can silently go wrong: word-size boundaries (>64
+transactions), late-ABORT visibility flips, and contended interleavings
+with cycle witnesses — and a derandomised sweep of malformed inputs
+(dropped, duplicated and swapped events, missing CREATEs).
 """
+
+import random
 
 import pytest
 
-from repro.core import certify, certify_columnar
-from repro.core.columnar import ColumnarHistory, build_columnar_graph
+from repro.core import certify
+from repro.core.actions import Create
+from repro.core.columnar import (
+    ColumnarHistory,
+    ColumnarSerializationGraph,
+    build_columnar_graph,
+    columnar_conflict_edges,
+    columnar_precedes_edges,
+)
 from repro.core.correctness import build_witness  # noqa: F401  (re-exported check)
 from repro.core.events import serial_projection
-from repro.core.history import ConflictCache, HistoryIndex
+from repro.core.history import HistoryIndex
 from repro.core.names import ROOT
 from repro.core.oracle import oracle_serially_correct
 from repro.core.serialization_graph import (
     build_serialization_graph,
     conflict_pairs,
     precedes_pairs,
+    reference_serialization_graph,
 )
 from repro.core.view import serializability_theorem_applies
 from repro.parallel import certify_corpus
@@ -45,24 +57,22 @@ def graph_edges(certificate):
 
 
 def assert_lanes_agree(behavior, system, seed=None):
-    """All three lanes produce indistinguishable certificates."""
-    naive = certify(behavior, system, indexed=False)
-    fast = certify(behavior, system, indexed=True)
-    dense = certify(behavior, system, columnar=True)
-    assert naive.certified == fast.certified == dense.certified, seed
-    assert naive.cycle == fast.cycle == dense.cycle, seed
-    assert (
-        [str(v) for v in naive.arv_violations]
-        == [str(v) for v in fast.arv_violations]
-        == [str(v) for v in dense.arv_violations]
-    ), seed
-    assert graph_edges(naive) == graph_edges(fast) == graph_edges(dense), seed
-    assert naive.witness == fast.witness == dense.witness, seed
+    """The reference lane and the default lane give the same certificate."""
+    reference = certify(behavior, system, columnar=False)
+    dense = certify(behavior, system)
+    assert reference.certified == dense.certified, seed
+    assert reference.cycle == dense.cycle, seed
+    assert [str(v) for v in reference.arv_violations] == [
+        str(v) for v in dense.arv_violations
+    ], seed
+    assert graph_edges(reference) == graph_edges(dense), seed
+    assert reference.witness == dense.witness, seed
+    assert reference.witness_problems == dense.witness_problems, seed
     return dense
 
 
 class TestThreeWayEquivalence:
-    """naive ≡ indexed ≡ columnar, 300 seeds across both generators."""
+    """reference ≡ default (columnar), 300 seeds across both generators."""
 
     def test_220_simple_seeds_agree(self):
         rejected_seen = 0
@@ -105,7 +115,7 @@ class TestThreeWayEquivalence:
         build.abort(doomed)
         behavior, _ = build.build(), None
         assert_lanes_agree(behavior, system)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         doomed_id = store.txn_id_of(doomed)
         keeper_id = store.txn_id_of(keeper)
@@ -114,11 +124,11 @@ class TestThreeWayEquivalence:
         assert store.orphan_flags()[keeper_id] == 0
         assert store.visible_flags()[keeper_id] == 1
         # memoized HistoryIndex answers and bitset answers coincide
-        index = HistoryIndex(behavior, system, columnar=True)
-        slow = HistoryIndex(behavior, system)
-        for name in store.txn_names:
-            assert index.is_orphan(name) == slow.is_orphan(name), name
-            assert index.is_visible(name, ROOT) == slow.is_visible(name, ROOT)
+        index = HistoryIndex(behavior, system)
+        orphans, visible = store.orphan_flags(), store.visible_flags()
+        for dense, name in enumerate(store.txn_names):
+            assert index.is_orphan(name) == bool(orphans[dense]), name
+            assert index.is_visible(name, ROOT) == bool(visible[dense]), name
 
     def test_bitset_boundary_beyond_64_transactions(self):
         """>64 top-level transactions (and >64 events) force the visible
@@ -138,7 +148,7 @@ class TestThreeWayEquivalence:
         behavior = build.build()
         dense = assert_lanes_agree(behavior, system)
         assert len(behavior) > 64 * 7  # comfortably past one word of events
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         assert len(store.txn_names) > 64
         flags = store.visible_flags()
@@ -152,81 +162,127 @@ class TestThreeWayEquivalence:
         """A contended workload stretched past the word boundary still
         yields identical cycle witnesses across lanes."""
         behavior, system = random_contended_behavior(11, transactions=25)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         assert len(store.txn_names) > 64  # 25 tops × (1 + 2 accesses) + root
         assert_lanes_agree(behavior, system)
 
 
+def mutants(behavior, rng):
+    """Four malformed variants of ``behavior``: one event dropped, one
+    duplicated, two adjacent events swapped, every CREATE removed."""
+    behavior = tuple(behavior)
+    i = rng.randrange(len(behavior))
+    j = rng.randrange(len(behavior) - 1)
+    yield behavior[:i] + behavior[i + 1 :]
+    yield behavior[: i + 1] + behavior[i:]
+    yield behavior[:j] + (behavior[j + 1], behavior[j]) + behavior[j + 2 :]
+    yield tuple(action for action in behavior if not isinstance(action, Create))
+
+
+class TestMalformedInputEquivalence:
+    """Both lanes judge malformed input identically, and a failed witness
+    self-check is never reported as certified."""
+
+    def test_320_mutated_inputs_agree(self):
+        rng = random.Random(2024)
+        judged = witness_failures = 0
+        for seed in range(40):
+            for generate in (
+                lambda: random_simple_behavior(seed, steps=30),
+                lambda: random_contended_behavior(seed),
+            ):
+                behavior, system = generate()
+                for mutant in mutants(behavior, rng):
+                    dense = assert_lanes_agree(mutant, system, seed)
+                    if dense.witness_problems:
+                        witness_failures += 1
+                        assert not dense.certified, seed
+                    judged += 1
+        assert judged == 320
+        # the sweep must reach the witness self-check, or it proves nothing
+        assert witness_failures > 0
+
+
 class TestColumnarPlumbing:
-    """The columnar lane is reachable from every certifier entry point."""
+    """The columnar store behind every batch entry point."""
 
     def test_graph_builder_columnar_flag(self):
+        """Each value of ``certify(columnar=)`` picks its graph builder;
+        the graphs are the same."""
         behavior, system = random_simple_behavior(5, steps=30)
         serial = serial_projection(behavior)
-        plain = build_serialization_graph(serial, system, columnar=False)
-        dense = build_serialization_graph(serial, system, columnar=True)
-        assert sorted(plain.nodes()) == sorted(dense.nodes())
-        assert sorted(
-            (e.source, e.target, e.kind) for e in plain.edges()
-        ) == sorted((e.source, e.target, e.kind) for e in dense.edges())
-        assert plain.find_cycle() == dense.find_cycle()
+        plain = certify(serial, system, columnar=False).graph
+        dense = certify(serial, system, columnar=True).graph
+        assert isinstance(dense, ColumnarSerializationGraph)
+        assert not isinstance(plain, ColumnarSerializationGraph)
+        for graph in (dense, build_serialization_graph(serial, system)):
+            assert sorted(plain.nodes()) == sorted(graph.nodes())
+            assert sorted(
+                (e.source, e.target, e.kind) for e in plain.edges()
+            ) == sorted((e.source, e.target, e.kind) for e in graph.edges())
+            assert plain.find_cycle() == graph.find_cycle()
 
     def test_pair_enumerations_route_through_the_columnar_store(self):
         for seed in (3, 17, 42):
             behavior, system = random_simple_behavior(seed, steps=40)
             serial = serial_projection(behavior)
-            plain = HistoryIndex(serial, system)
-            dense = HistoryIndex(serial, system, columnar=True)
-            assert dense.columnar is not None
-            assert conflict_pairs(serial, system, dense) == conflict_pairs(
-                serial, system, plain
-            ), seed
-            assert precedes_pairs(serial, dense) == precedes_pairs(
-                serial, plain
-            ), seed
-
-    def test_oracle_and_view_accept_the_flag(self):
-        behavior, system = serial_two_txn_behavior()
-        assert oracle_serially_correct(behavior, system, columnar=True).correct
-        assert oracle_serially_correct(behavior, system, columnar=False).correct
-        certificate = certify(behavior, system, columnar=True)
-        assert certificate.order is not None
-        assert (
-            serializability_theorem_applies(
-                behavior, ROOT, certificate.order, system, columnar=True
+            assert isinstance(
+                build_serialization_graph(serial, system), ColumnarSerializationGraph
             )
-            == serializability_theorem_applies(
-                behavior, ROOT, certificate.order, system, columnar=False
-            )
-            == []
-        )
+            store = ColumnarHistory(system)
+            store.extend(serial)
+            assert columnar_conflict_edges(store) == conflict_pairs(
+                serial, system
+            ), seed
+            assert columnar_precedes_edges(store) == precedes_pairs(serial), seed
 
     def test_corpus_certification_matches_across_lanes(self):
         cases = []
         for seed in range(12):
             behavior, system = random_contended_behavior(seed)
             cases.append((f"case-{seed}", behavior, system))
-        dense = certify_corpus(cases, jobs=1, columnar=True)
-        plain = certify_corpus(cases, jobs=1, columnar=False)
-        assert dense == plain
+        verdicts = certify_corpus(cases, jobs=1)
+        for verdict, (_, behavior, system) in zip(verdicts, cases):
+            reference = certify(
+                behavior, system, construct_witness=False, columnar=False
+            )
+            assert verdict.certified == reference.certified
+            assert verdict.has_cycle == (reference.cycle is not None)
+            assert verdict.arv_violations == len(reference.arv_violations)
+
+    def test_oracle_and_view_accept_the_flag(self):
+        """The sibling order either lane's certificate carries is one the
+        oracle and the Theorem 2 check accept."""
+        behavior, system = serial_two_txn_behavior()
+        assert oracle_serially_correct(behavior, system).correct
+        for columnar in (True, False):
+            certificate = certify(behavior, system, columnar=columnar)
+            assert certificate.order is not None
+            assert (
+                serializability_theorem_applies(
+                    behavior, ROOT, certificate.order, system
+                )
+                == []
+            )
 
     def test_certify_columnar_streams_a_lazy_behavior(self):
         """No materialised list: a generator feeds the columns directly."""
         behavior, system = random_simple_behavior(9, steps=40)
         eager = certify(behavior, system, construct_witness=False)
-        lazy = certify_columnar(
+        lazy = certify(
             (action for action in behavior),
             system,
             construct_witness=False,
+            columnar=True,
         )
         assert eager.certified == lazy.certified
         assert eager.cycle == lazy.cycle
 
     def test_shared_cache_memoizes_generic_spec_verdicts(self):
         """Without the RW structural marker the engine falls back to the
-        memoized pair scan; a shared cache answers the second run's
-        verdicts entirely from the dense-id table."""
+        memoized pair scan; the store's cache answers a second
+        enumeration's verdicts entirely from the dense-id table."""
         from repro.core.names import ObjectName, SystemType
         from repro.core.rw_semantics import RWSpec
 
@@ -240,40 +296,35 @@ class TestColumnarPlumbing:
             top = build.begin_top(f"t{i}")
             build.write(top, "w", "x", i)
             build.commit(top)
-        behavior = build.build()
-        cache = ConflictCache()
-        first = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
-        )
+        store = ColumnarHistory(system)
+        store.extend(build.build())
+        first = sorted(store.conflict_edge_ids())
+        cache = store.cache
         assert cache.misses > 0
         misses_after_first = cache.misses
-        second = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
-        )
-        assert first.certified == second.certified
+        assert sorted(store.conflict_edge_ids()) == first
         # every verdict the second run needed was already memoized
         assert cache.misses == misses_after_first
         assert cache.hits > 0
 
     def test_rw_bitset_sweep_never_consults_the_spec(self):
         """With the marker present, whole RW objects resolve by bitwise
-        sweeps: the shared verdict table stays empty."""
+        sweeps: the verdict table stays empty."""
         behavior, system = random_contended_behavior(3)
-        cache = ConflictCache()
-        certificate = certify_columnar(
-            behavior, system, construct_witness=False, conflict_cache=cache
+        store = ColumnarHistory(system)
+        store.extend(behavior)
+        assert columnar_conflict_edges(store) == conflict_pairs(
+            serial_projection(behavior), system
         )
-        reference = certify(behavior, system, construct_witness=False)
-        assert certificate.certified == reference.certified
-        assert len(cache) == 0  # no per-pair verdicts were ever needed
+        assert len(store.cache) == 0  # no per-pair verdicts were ever needed
 
     def test_graph_materializes_lazily_and_identically(self):
         behavior, system = random_contended_behavior(7)
         serial = serial_projection(behavior)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(serial)
         graph = build_columnar_graph(store)
-        reference = build_serialization_graph(serial, system)
+        reference = reference_serialization_graph(serial, system)
         # structural queries before materialisation
         assert graph.edge_count() == reference.edge_count()
         assert graph.find_cycle() == reference.find_cycle()
@@ -289,7 +340,7 @@ class TestColumnarStore:
 
     def test_parent_ids_precede_child_ids(self):
         behavior, system = random_simple_behavior(21, steps=40)
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         store.extend(behavior)
         for dense in range(1, len(store.txn_names)):
             assert store.txn_parent[dense] < dense
@@ -299,7 +350,7 @@ class TestColumnarStore:
         from repro.core.actions import InformCommit
 
         system = rw_system("x")
-        store = ColumnarHistory(system, conflict_cache=ConflictCache())
+        store = ColumnarHistory(system)
         build = BehaviorBuilder(system)
         top = build.begin_top("t")
         build.commit(top)

@@ -115,12 +115,14 @@ class TestR001ABFlags:
             if "not exercised" in f.message
         ]
         assert findings, "expected a coverage finding with no tests"
-        assert any("indexed=False and indexed=True" in f.message for f in findings)
+        assert any(
+            "incremental=False and incremental=True" in f.message for f in findings
+        )
 
     def test_real_suite_covers_both_values_of_both_flags(self):
         context = LintContext(root=SRC_ROOT, tests_root=TESTS_DIR)
-        coverage = context.test_flag_values(("indexed", "incremental"))
-        assert coverage["indexed"] == {True, False}
+        coverage = context.test_flag_values(("columnar", "incremental"))
+        assert coverage["columnar"] == {True, False}
         # incremental=True only flows through a parametrized fixture;
         # the scanner must resolve fixture/parametrize bindings.
         assert coverage["incremental"] == {True, False}
@@ -251,7 +253,7 @@ class TestSpecSoundness:
             assert report.pairs > 0 and report.prefixes > 0
 
     def test_read_read_fast_path_assumption_holds_for_every_spec(self):
-        # _conflict_pairs_indexed never consults the spec for read/read
+        # the columnar conflict sweep never consults the spec for read/read
         # pairs; a spec violating the assumption surfaces as
         # 'read_only_conflict'/'read_only_claim'.
         for domain in builtin_spec_domains():
